@@ -12,7 +12,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/sampling"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // This file is the shared algorithm core: each phase of the paper's
@@ -39,7 +38,7 @@ func DrawMinibatch(cfg *Config, edges sampling.EdgeStrategy, t int, dst *samplin
 // fused serial path (one chunk, one batched read — a pipeline would only add
 // channel/goroutine overhead, the in-proc slowdown this policy removes),
 // while remote-reading stores overlap ReadRowsAsync with compute. Loads and
-// computes are timed into Trace under the update_phi.load_pi /
+// computes are reported to Observer under the update_phi.load_pi /
 // update_phi.compute sub-phases.
 //
 // A PhiStage owns persistent staging buffers and per-worker scratch, so the
@@ -60,12 +59,11 @@ type PhiStage struct {
 	// Depth-1 chunks ahead); <= 2 means double buffering, the paper's
 	// scheme.
 	Depth int
-	Trace *trace.Phases
-	// Rec, when non-nil, additionally receives the load_pi/compute
-	// sub-stage durations so per-iteration events carry the full Table III
-	// breakdown. With pipelining on, load and compute report concurrently —
-	// Recorder implementations are safe for that.
-	Rec obs.Recorder
+	// Observer, when non-nil, receives the load_pi/compute sub-stage
+	// durations as duration-only StageDone reports, so the Table III
+	// breakdown and per-iteration events carry them. With pipelining on,
+	// load and compute report concurrently — Observers are safe for that.
+	Observer obs.Observer
 
 	// bufs holds one phiChunk per pipeline slot and scratch one PhiScratch
 	// per worker index; both grow on demand and persist across iterations.
@@ -152,15 +150,10 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 		return errVal != nil
 	}
 
-	// record times one sub-stage interval into Trace and, when attached,
-	// the live Recorder.
+	// record reports one sub-stage interval to the observer, if any.
 	record := func(name string, start time.Time) {
-		d := time.Since(start)
-		if p.Trace != nil {
-			p.Trace.Add(name, d)
-		}
-		if p.Rec != nil {
-			p.Rec.StageDone(t, name, d)
+		if p.Observer != nil {
+			p.Observer.StageDone(t, name, time.Since(start))
 		}
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // ThetaChunk is the fixed chunk size for the θ-gradient reduction and
@@ -40,15 +40,12 @@ type Sampler struct {
 
 	// Phases accumulates per-stage wall-clock time under the same Table III
 	// stage names the distributed engine reports.
-	Phases *trace.Phases
+	Phases *obs.Phases
 
-	// rec is the optional live telemetry recorder (SamplerOptions.Recorder):
-	// per-stage durations and one event per iteration, same schema as the
-	// distributed engine's rank events.
-	rec obs.Recorder
-
-	// tracer is the optional span recorder (SamplerOptions.Tracer).
-	tracer *obs.Tracer
+	// observer is the loop's one observation path: Phases, plus the
+	// SamplerOptions.Recorder and a StageSpans over SamplerOptions.Tracer
+	// when those are set.
+	observer obs.Fanout
 
 	t     int
 	batch sampling.Batch
@@ -97,9 +94,9 @@ type SamplerOptions struct {
 	// Threads is the shared-memory worker count; 0 uses GOMAXPROCS.
 	Threads int
 	// Recorder, when non-nil, receives the live telemetry stream (per-stage
-	// durations, one event per iteration, perplexity points) — see
-	// internal/obs. Nil keeps the iteration loop telemetry-free.
-	Recorder obs.Recorder
+	// durations, one event per iteration, perplexity points) — typically an
+	// obs.RunRecorder. Nil keeps the iteration loop telemetry-free.
+	Recorder obs.Observer
 	// Tracer, when non-nil, records per-iteration and per-stage spans (the
 	// single-rank timeline; no collectives or DKV traffic exist here). Feed
 	// its Bundle to obs.WriteChromeTrace — ocd-train's -trace-out does.
@@ -194,9 +191,7 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		Edges:     edges,
 		Neighbors: neigh,
 		Threads:   opt.Threads,
-		Phases:    trace.NewPhases(),
-		rec:       opt.Recorder,
-		tracer:    opt.Tracer,
+		Phases:    obs.NewPhases(),
 		pub:       opt.Publisher,
 		pubEvery:  max(opt.PublishEvery, 1),
 		ext:       opt.Store,
@@ -204,12 +199,18 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 	if held != nil {
 		s.eval = NewHeldOutEval(held, cfg.Delta, 0, held.Len())
 	}
+	s.observer = obs.Fanout{s.Phases}
+	if opt.Recorder != nil {
+		s.observer = append(s.observer, opt.Recorder)
+	}
+	if opt.Tracer != nil {
+		s.observer = append(s.observer, obs.NewStageSpans(opt.Tracer))
+	}
 	s.phi = &PhiStage{
-		Cfg:     &s.Cfg,
-		Neigh:   s.Neighbors,
-		Threads: s.Threads,
-		Trace:   s.Phases,
-		Rec:     s.rec,
+		Cfg:      &s.Cfg,
+		Neigh:    s.Neighbors,
+		Threads:  s.Threads,
+		Observer: s.observer,
 	}
 	s.loop = s.buildLoop()
 	if err := s.loop.Validate([]string{"graph", "pi", "theta", "beta"}); err != nil {
@@ -233,9 +234,7 @@ func (s *Sampler) pistore() store.PiStore {
 // stages, and the in-memory store makes every load local.
 func (s *Sampler) buildLoop() *engine.Loop {
 	loop := &engine.Loop{
-		Trace:    s.Phases,
-		Recorder: s.rec,
-		Tracer:   s.tracer,
+		Observer: s.observer,
 		Stages: []engine.Stage{
 			{
 				Name:   engine.PhaseDrawMinibatch,
@@ -375,7 +374,10 @@ func (s *Sampler) EvalPerplexity() float64 {
 	if s.eval == nil {
 		panic("core: sampler has no held-out set")
 	}
-	defer s.Phases.Timer(engine.PhasePerplexity)()
+	s.observer.StageBegin(obs.NoIter, engine.PhasePerplexity)
+	defer func(start time.Time) {
+		s.observer.StageDone(obs.NoIter, engine.PhasePerplexity, time.Since(start))
+	}(time.Now())
 	partials, err := s.eval.Fold(s.pistore(), s.State.Beta, s.Threads)
 	if err != nil {
 		panic(fmt.Sprintf("core: perplexity: %v", err))
@@ -385,9 +387,7 @@ func (s *Sampler) EvalPerplexity() float64 {
 		logSum += v
 	}
 	perp := PerplexityFromLogSum(logSum, s.Held.Len())
-	if s.rec != nil {
-		s.rec.EvalDone(s.t, perp)
-	}
+	s.observer.EvalDone(s.t, perp)
 	return perp
 }
 

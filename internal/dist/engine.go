@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/store"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -43,13 +42,18 @@ type node struct {
 	neigh  sampling.NeighborStrategy
 	theta  []float64
 	beta   []float64
-	phases *trace.Phases
+	phases *obs.Phases
 	reg    *obs.Registry    // this rank's telemetry registry
 	rec    *obs.RunRecorder // nil unless Options.Events/Monitor ask for telemetry
 	tracer *obs.Tracer      // nil unless Options.Trace; feeds engine/cluster/dkv spans
 	phi    *core.PhiStage
 	eval   *core.HeldOutEval // held-out shard, PerplexityChunk-aligned
 	loop   *engine.Loop
+
+	// observer is the rank's one observation path: phases always, rec and
+	// the transport phase labels when telemetry is on, stage spans when
+	// tracing is.
+	observer obs.Fanout
 
 	// bundles is every rank's gathered span buffer, filled by gatherTrace at
 	// run end; identical across ranks (AllGather).
@@ -80,7 +84,7 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		n:      g.NumVertices(),
 		k:      cfg.K,
 		held:   held,
-		phases: trace.NewPhases(),
+		phases: obs.NewPhases(),
 		reg:    reg,
 		theta:  core.InitTheta(cfg),
 		beta:   make([]float64, cfg.K),
@@ -98,6 +102,17 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		nd.tracer = obs.NewTracer(nd.rank, 0)
 		nd.tracer.SetDropCounter(reg.Counter(obs.CtrSpansDropped))
 		comm.SetTracer(nd.tracer)
+	}
+	nd.observer = obs.Fanout{nd.phases}
+	if nd.rec != nil {
+		// Phase labels ride on telemetry for the same reason telemetry-off
+		// runs create no histograms: labeling makes the instrumented
+		// transport open transport.wait.<phase> histograms, and a run nobody
+		// observes must not pay for (or leak) them.
+		nd.observer = append(nd.observer, nd.rec, obs.PhaseLabels(comm.SetPhase))
+	}
+	if nd.tracer != nil {
+		nd.observer = append(nd.observer, obs.NewStageSpans(nd.tracer))
 	}
 	if opt.Rebalance {
 		// Every rank must agree on the window boundaries without talking:
@@ -158,19 +173,14 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 			return nil, err
 		}
 		// The master-side pipeline of Section III-D: iteration t+1's
-		// minibatch is drawn while iteration t computes.
-		// The draw for iteration t+1 overlaps iteration t's compute, so it
-		// reports its duration keyed by its own iteration — the recorder
-		// attributes it to the right iter event either way.
+		// minibatch is drawn while iteration t computes, so the draw reports
+		// its duration keyed by its own iteration — the recorder attributes
+		// it to the right iter event either way.
 		nd.prefetch = engine.NewPrefetcher(func(t int) *sampling.Batch {
 			start := time.Now()
 			batch := &sampling.Batch{}
 			core.DrawMinibatch(&nd.cfg, nd.edges, t, batch)
-			d := time.Since(start)
-			nd.phases.Add(PhaseDrawMinibatch, d)
-			if nd.rec != nil {
-				nd.rec.StageDone(t, PhaseDrawMinibatch, d)
-			}
+			nd.observer.StageDone(t, PhaseDrawMinibatch, time.Since(start))
 			return batch
 		})
 	}
@@ -198,10 +208,7 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		ChunkNodes: opt.PhiChunkNodes,
 		Pipelined:  opt.Pipeline,
 		Depth:      opt.PipelineDepth,
-		Trace:      nd.phases,
-	}
-	if nd.rec != nil { // assign through the guard: a typed-nil Recorder would defeat the nil checks
-		nd.phi.Rec = nd.rec
+		Observer:   nd.observer,
 	}
 	nd.loop = nd.buildLoop()
 	// "shares" is initial: the reshard stage writes next window's shares at
@@ -225,8 +232,7 @@ func (nd *node) refreshBeta() {
 // write sets would otherwise overlap.
 func (nd *node) buildLoop() *engine.Loop {
 	loop := &engine.Loop{
-		Trace:  nd.phases,
-		Tracer: nd.tracer,
+		Observer: nd.observer,
 		Stages: []engine.Stage{
 			{
 				Name:   PhaseDeployMinibatch,
@@ -291,14 +297,6 @@ func (nd *node) buildLoop() *engine.Loop {
 			Publishes: []string{"pi"},
 			Run:       nd.checkpointStage,
 		})
-	}
-	if nd.rec != nil { // assign through the guard: a typed-nil Recorder would defeat the nil checks
-		loop.Recorder = nd.rec
-		// Phase attribution rides on the recorder guard for the same reason
-		// telemetry-off runs create no histograms: the hook makes the
-		// instrumented transport open transport.wait.<phase> histograms, and
-		// a run nobody observes must not pay for (or leak) them.
-		loop.PhaseHook = nd.comm.SetPhase
 	}
 	if hook := nd.opt.FaultHook; hook != nil {
 		loop.FaultHook = func(t int) error { return hook(nd.rank, t) }
@@ -367,7 +365,7 @@ func (nd *node) run() (err error) {
 	if nd.rec != nil && nd.rank == 0 {
 		nd.rec.RunStart(nd.size, nd.opt.Iterations)
 	}
-	totalTimer := nd.phases.Timer(PhaseTotal)
+	trainStart := time.Now()
 	for t := startIter; t < nd.opt.Iterations; t++ {
 		if err := nd.loop.RunIteration(t); err != nil {
 			return fmt.Errorf("iteration %d: %w", t, err)
@@ -379,13 +377,13 @@ func (nd *node) run() (err error) {
 			}
 			nd.perp = append(nd.perp, PerpPoint{Iter: t + 1, Value: v, Elapsed: time.Since(nd.start)})
 			// The value is identical on every rank (master reduces and
-			// broadcasts); emit the perplexity event once, from rank 0.
-			if nd.rec != nil && nd.rank == 0 {
-				nd.rec.EvalDone(t+1, v)
+			// broadcasts); report the evaluation once, from rank 0.
+			if nd.rank == 0 {
+				nd.observer.EvalDone(t+1, v)
 			}
 		}
 	}
-	totalTimer()
+	nd.observer.StageDone(obs.NoIter, PhaseTotal, time.Since(trainStart))
 	if nd.rec != nil && nd.rank == 0 {
 		nd.rec.RunEnd(nd.opt.Iterations)
 	}
@@ -531,7 +529,7 @@ func (nd *node) reshardStage(t int) error {
 
 // checkpointStage writes the coordinated checkpoint: master-only, at the end
 // of every CheckpointEvery-th iteration, gathering the full state through
-// the DKV read path (peers serve while fenced in the next collective). The
+// the raw DKV gather (peers serve while fenced in the next collective). The
 // stored iteration t+1 is "iterations completed", so a restart resumes at
 // exactly the next iteration's RNG streams.
 func (nd *node) checkpointStage(t int) error {

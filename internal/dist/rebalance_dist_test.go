@@ -199,6 +199,41 @@ func TestCheckpointRestartBitExact(t *testing.T) {
 	}
 }
 
+// TestCheckpointLeavesHotCacheUntouched: the checkpoint gather sweeps all
+// of π at the master, and must do so around the hot-row cache, not through
+// it — with checkpoints on, the cache sees exactly the traffic of the run
+// without them, and the trained model is bit-identical.
+func TestCheckpointLeavesHotCacheUntouched(t *testing.T) {
+	train, held := fixture(t, 240, 5, 1200, 64)
+	cfg := core.DefaultConfig(5, 606)
+	base := Options{Ranks: 2, Iterations: 20, HotRowCache: 64, HotCacheCrossIter: true}
+	plain, err := Run(cfg, train, held, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := base
+	opt.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+	opt.CheckpointEvery = 5
+	ckpted, err := Run(cfg, train, held, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.DKV.CacheHits == 0 {
+		t.Fatal("the hot-row cache saw no hits; the comparison is vacuous")
+	}
+	p, c := plain.DKV, ckpted.DKV
+	if p.CacheHits != c.CacheHits || p.CacheMisses != c.CacheMisses ||
+		p.CacheEvictions != c.CacheEvictions || p.CacheInvalidations != c.CacheInvalidations {
+		t.Fatalf("checkpoints changed the cache traffic:\nwithout %+v\nwith    %+v", p, c)
+	}
+	if d := mathx.MaxAbsDiff32(plain.State.Pi, ckpted.State.Pi); d != 0 {
+		t.Fatalf("checkpointing changed π by %v", d)
+	}
+	if d := mathx.MaxAbsDiff(plain.State.Theta, ckpted.State.Theta); d != 0 {
+		t.Fatalf("checkpointing changed θ by %v", d)
+	}
+}
+
 // TestCheckpointSurvivesRankLoss is the rank-loss drill end to end: a rank
 // dies mid-run, the run aborts, and restarting from the last coordinated
 // checkpoint completes the chain bit-identical to one that never failed.

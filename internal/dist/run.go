@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -159,7 +158,7 @@ type Options struct {
 	// CheckpointPath, when non-empty, makes the master write a coordinated
 	// core.State checkpoint (π, Σφ, θ, and the iteration counter) every
 	// CheckpointEvery iterations, at the phase barrier that ends the
-	// iteration: the master gathers peer shards through the DKV read path
+	// iteration: the master gathers peer shards through the raw DKV gather
 	// while the peers are fenced waiting on its next collective, the same
 	// consistency argument as Publisher. CheckpointEvery ≤ 0 defaults to 10.
 	CheckpointPath  string
@@ -227,7 +226,7 @@ type DKVTotals struct {
 type Result struct {
 	State      *core.State // fully assembled π/Σφ/θ/β
 	Perplexity []PerpPoint
-	Phases     *trace.Phases // per-phase totals, max across ranks
+	Phases     *obs.Phases // per-phase totals, max across ranks
 	RankPhases []map[string]time.Duration
 	DKV        DKVTotals
 	// Metrics is every rank's telemetry registry folded into one snapshot:
@@ -410,13 +409,14 @@ func assembleResult(nodes []*node) *Result {
 	res := &Result{
 		State:      master.finalState,
 		Perplexity: master.perp,
-		Phases:     trace.NewPhases(),
+		Phases:     obs.NewPhases(),
 		Iterations: master.opt.Iterations,
 		Elapsed:    master.phases.Total(PhaseTotal),
 	}
 	for _, nd := range nodes {
-		res.RankPhases = append(res.RankPhases, nd.phases.Snapshot())
-		res.Phases.MergeAll(nd.phases.Stats())
+		phases := nd.phases.Snapshot()
+		res.RankPhases = append(res.RankPhases, phases)
+		res.Phases.MergeMax(phases)
 		// Snapshot each registry exactly once: the folded view and the
 		// per-rank view must agree (the matrix row-sum invariant is tested
 		// against Metrics).
@@ -452,10 +452,10 @@ func assembleResult(nodes []*node) *Result {
 // reduces the global averaged perplexity (Eqn 7) at the master; the value
 // is broadcast so every rank returns it.
 func (nd *node) evalPerplexity() (float64, error) {
-	defer nd.phases.Timer(PhasePerplexity)()
-	if nd.rec != nil { // same guard as Loop.PhaseHook: no histograms unless observed
-		nd.comm.SetPhase(PhasePerplexity)
-	}
+	nd.observer.StageBegin(obs.NoIter, PhasePerplexity)
+	defer func(start time.Time) {
+		nd.observer.StageDone(obs.NoIter, PhasePerplexity, time.Since(start))
+	}(time.Now())
 	partials, err := nd.eval.Fold(nd.store, nd.beta, nd.opt.Threads)
 	if err != nil {
 		return 0, err
@@ -485,8 +485,9 @@ func (nd *node) evalPerplexity() (float64, error) {
 }
 
 // collectState reads the whole π matrix back out of the DKV store into a
-// core.State; master-only, used for final reporting and the equivalence
-// tests.
+// core.State; master-only, used for checkpoints, final reporting and the
+// equivalence tests. DKVStore.Gather bypasses the hot-row cache, so a
+// checkpoint leaves the cache and its counters as training left them.
 func (nd *node) collectState() (*core.State, error) {
 	st := &core.State{
 		N:      nd.n,
@@ -496,22 +497,8 @@ func (nd *node) collectState() (*core.State, error) {
 		Theta:  append([]float64(nil), nd.theta...),
 		Beta:   append([]float64(nil), nd.beta...),
 	}
-	const batchKeys = 4096
-	keys := make([]int32, 0, batchKeys)
-	var rows store.Rows
-	for base := 0; base < nd.n; base += batchKeys {
-		hi := min(base+batchKeys, nd.n)
-		keys = keys[:0]
-		for a := base; a < hi; a++ {
-			keys = append(keys, int32(a))
-		}
-		if err := nd.store.ReadRows(keys, &rows); err != nil {
-			return nil, err
-		}
-		for i, a := range keys {
-			copy(st.PiRow(int(a)), rows.PiRow(i))
-			st.PhiSum[a] = rows.PhiSum[i]
-		}
+	if err := nd.store.Gather(st.Pi, st.PhiSum); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -1,7 +1,7 @@
 // Package engine provides the stage-based iteration machinery shared by the
 // local (core.Sampler) and distributed (dist.Run) samplers: the canonical
 // phase names of the paper's Table III, a Stage/Loop scheduler that attaches
-// per-stage timing and fault injection uniformly, the single-slot Prefetcher
+// one obs.Observer and fault injection uniformly, the single-slot Prefetcher
 // behind the master's minibatch pipelining (Section III-D), and the
 // chunk-aligned partition helpers both engines split work with.
 //
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Phase names used in traces; the Table III harness keys off these.
@@ -40,9 +39,9 @@ const (
 // the barrier discipline ("update_phi reads only pre-phase π") is made
 // explicit instead of being a comment.
 type Stage struct {
-	// Name keys the per-stage trace timer. An empty Name marks untimed
-	// wiring (e.g. the distributed engine's barriers), which runs but does
-	// not appear in the phase table.
+	// Name keys the stage's Table III row. An empty Name marks untimed
+	// wiring (e.g. the distributed engine's barriers), which runs and is
+	// observed as PhaseBarrier but does not appear in the phase table.
 	Name   string
 	Reads  []string
 	Writes []string
@@ -61,113 +60,57 @@ type Stage struct {
 	Run     func(t int) error
 }
 
-// Loop runs a fixed stage list once per iteration, timing each named stage
-// into Trace and giving FaultHook one uniform injection point per iteration.
+// Loop runs a fixed stage list once per iteration, reporting each stage to
+// Observer and giving FaultHook one uniform injection point per iteration.
 type Loop struct {
 	Stages []Stage
-	Trace  *trace.Phases
-	// Recorder, when non-nil, receives every named stage's duration as it
-	// completes and an IterDone at the end of each iteration — the live
-	// telemetry feed (JSONL events, monitor gauges). Nil by default: the
-	// hot path pays one nil-check per stage.
-	Recorder obs.Recorder
+	// Observer, when non-nil, is told as each stage begins and ends (unnamed
+	// wiring stages as PhaseBarrier) and when each iteration completes —
+	// the one feed behind the Table III phase totals, the live telemetry,
+	// the span timeline and the transport's phase labels (an obs.Fanout of
+	// them). Nil by default: the loop then pays one nil-check per stage.
+	Observer obs.Observer
 	// FaultHook, when non-nil, runs at the top of every iteration; a non-nil
 	// return fails the iteration exactly as if a stage had errored.
 	FaultHook func(t int) error
-	// PhaseHook, when non-nil, is called with each stage's name immediately
-	// before the stage runs; unnamed wiring stages report as PhaseBarrier.
-	// The distributed engine points it at cluster.Comm.SetPhase so the
-	// instrumented transport attributes blocking-receive time to the phase
-	// whose collectives caused it.
-	PhaseHook func(name string)
-	// Tracer, when non-nil, records one span per iteration and one child
-	// span per stage (unnamed wiring stages appear as PhaseBarrier spans, so
-	// barrier wait is visible on the timeline even though it is untimed in
-	// the phase table). The stage span is left as the tracer's scope while
-	// the stage runs, so collectives and DKV waits nest under it. Nil by
-	// default: tracing-off costs one nil-check per stage, like Recorder.
-	Tracer *obs.Tracer
 }
 
-// PhaseBarrier is the label PhaseHook reports for unnamed wiring stages
-// (the distributed engine's barriers) — where straggler wait concentrates.
-const PhaseBarrier = "barrier"
+// PhaseBarrier is the stage name reported for unnamed wiring stages (the
+// distributed engine's barriers) — where straggler wait concentrates.
+const PhaseBarrier = obs.PhaseBarrier
 
 // RunIteration executes iteration t: the fault hook, then every stage in
-// order, stopping at the first error. Named stages are timed once and the
-// measurement fans out to both Trace (cumulative totals) and Recorder
-// (per-iteration events).
+// order, stopping at the first error. Every stage is timed once, and a
+// failing stage still reports its StageDone.
 func (l *Loop) RunIteration(t int) error {
 	if l.FaultHook != nil {
 		if err := l.FaultHook(t); err != nil {
 			return fmt.Errorf("injected fault: %w", err)
 		}
 	}
-	var iterID, prevScope obs.SpanID
-	var iterStart int64
-	if l.Tracer != nil {
-		l.Tracer.SetIter(t)
-		iterID = l.Tracer.NewID()
-		prevScope = l.Tracer.SetScope(iterID)
-		iterStart = l.Tracer.Now()
-	}
+	o := l.Observer
 	for i := range l.Stages {
 		st := &l.Stages[i]
-		if l.PhaseHook != nil {
-			name := st.Name
-			if name == "" {
-				name = PhaseBarrier
+		if o == nil {
+			if err := st.Run(t); err != nil {
+				return err
 			}
-			l.PhaseHook(name)
+			continue
 		}
-		var stageID obs.SpanID
-		var stageStart int64
-		if l.Tracer != nil {
-			stageID = l.Tracer.NewID()
-			l.Tracer.SetScope(stageID)
-			stageStart = l.Tracer.Now()
+		name := st.Name
+		if name == "" {
+			name = PhaseBarrier
 		}
-		timed := st.Name != "" && (l.Trace != nil || l.Recorder != nil)
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
+		o.StageBegin(t, name)
+		start := time.Now()
 		err := st.Run(t)
-		if timed {
-			d := time.Since(start)
-			if l.Trace != nil {
-				l.Trace.Add(st.Name, d)
-			}
-			if l.Recorder != nil {
-				l.Recorder.StageDone(t, st.Name, d)
-			}
-		}
-		if l.Tracer != nil {
-			name := st.Name
-			if name == "" {
-				name = PhaseBarrier
-			}
-			l.Tracer.Emit(obs.Span{
-				ID: stageID, Parent: iterID, Name: name, Cat: obs.CatStage,
-				Track: obs.TrackEngine, Peer: obs.NoPeer, Iter: t,
-				StartNS: stageStart, DurNS: l.Tracer.Now() - stageStart,
-			})
-			l.Tracer.SetScope(iterID)
-		}
+		o.StageDone(t, name, time.Since(start))
 		if err != nil {
 			return err
 		}
 	}
-	if l.Tracer != nil {
-		l.Tracer.Emit(obs.Span{
-			ID: iterID, Name: "iter", Cat: obs.CatIter,
-			Track: obs.TrackEngine, Peer: obs.NoPeer, Iter: t,
-			StartNS: iterStart, DurNS: l.Tracer.Now() - iterStart,
-		})
-		l.Tracer.SetScope(prevScope)
-	}
-	if l.Recorder != nil {
-		l.Recorder.IterDone(t)
+	if o != nil {
+		o.IterDone(t)
 	}
 	return nil
 }

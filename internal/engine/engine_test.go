@@ -4,13 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
+// stageCounts is a test Observer counting StageDone reports per stage.
+type stageCounts map[string]int
+
+func (stageCounts) StageBegin(int, string)                           {}
+func (c stageCounts) StageDone(_ int, stage string, _ time.Duration) { c[stage]++ }
+func (stageCounts) IterDone(int)                                     {}
+func (stageCounts) EvalDone(int, float64)                            {}
+
 func TestLoopRunsStagesInOrderWithTiming(t *testing.T) {
-	ph := trace.NewPhases()
+	ph := obs.NewPhases()
+	counts := stageCounts{}
 	var order []string
 	mk := func(name string) Stage {
 		return Stage{Name: name, Run: func(int) error {
@@ -19,7 +28,7 @@ func TestLoopRunsStagesInOrderWithTiming(t *testing.T) {
 		}}
 	}
 	l := &Loop{
-		Trace: ph,
+		Observer: obs.Fanout{ph, counts},
 		Stages: []Stage{
 			mk("a"),
 			{Run: func(int) error { order = append(order, "barrier"); return nil }},
@@ -33,14 +42,15 @@ func TestLoopRunsStagesInOrderWithTiming(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("stage order %v, want %v", order, want)
 	}
-	if ph.Count("a") != 3 || ph.Count("b") != 3 {
-		t.Fatalf("timed counts a=%d b=%d, want 3 each", ph.Count("a"), ph.Count("b"))
+	if counts["a"] != 3 || counts["b"] != 3 {
+		t.Fatalf("timed counts a=%d b=%d, want 3 each", counts["a"], counts["b"])
 	}
-	// The unnamed barrier stage must not appear in the trace.
-	for _, name := range ph.Names() {
-		if name == "" {
-			t.Fatal("unnamed stage leaked into the trace")
-		}
+	if _, ok := counts[""]; ok {
+		t.Fatal("unnamed stage reported without a name")
+	}
+	// The unnamed barrier stage must not appear in the phase table.
+	if snap := ph.Snapshot(); len(snap) != 2 {
+		t.Fatalf("phase totals %v, want only a and b", snap)
 	}
 }
 
@@ -86,14 +96,14 @@ func TestLoopFaultHook(t *testing.T) {
 	}
 }
 
-// TestLoopPhaseHook: the hook fires before every stage with the stage's
-// name, unnamed wiring stages reporting as PhaseBarrier — the label sequence
-// the instrumented transport attributes receive waits with.
+// TestLoopPhaseHook: the phase labels fire before every stage with the
+// stage's name, unnamed wiring stages reporting as PhaseBarrier — the label
+// sequence the instrumented transport attributes receive waits with.
 func TestLoopPhaseHook(t *testing.T) {
 	var labels []string
 	noop := func(int) error { return nil }
 	l := &Loop{
-		PhaseHook: func(name string) { labels = append(labels, name) },
+		Observer: obs.PhaseLabels(func(name string) { labels = append(labels, name) }),
 		Stages: []Stage{
 			{Name: "update_phi", Run: noop},
 			{Run: noop}, // unnamed barrier
@@ -209,13 +219,20 @@ func TestPrefetcher(t *testing.T) {
 
 // TestLoopTracerSpans checks the loop's span shape: one iter span per
 // iteration, one stage span per stage parented under it (unnamed barrier
-// stages appear as PhaseBarrier), and the scope restored after each.
+// stages appear as PhaseBarrier), the scope restored after each, and a
+// failing stage still closing its own span.
 func TestLoopTracerSpans(t *testing.T) {
 	tr := obs.NewTracer(0, 0)
+	boom := errors.New("boom")
 	l := &Loop{
-		Tracer: tr,
+		Observer: obs.NewStageSpans(tr),
 		Stages: []Stage{
-			{Name: "a", Run: func(int) error { return nil }},
+			{Name: "a", Run: func(t int) error {
+				if t == 2 {
+					return boom
+				}
+				return nil
+			}},
 			{Run: func(int) error { return nil }}, // unnamed barrier
 		},
 	}
@@ -225,14 +242,20 @@ func TestLoopTracerSpans(t *testing.T) {
 	if tr.Scope() != 0 {
 		t.Fatalf("scope not restored after the run: %d", tr.Scope())
 	}
+	if err := l.RunIteration(2); !errors.Is(err, boom) {
+		t.Fatalf("failing iteration returned %v", err)
+	}
 	b := tr.Bundle()
 	iters := map[int]obs.SpanID{}
 	var stages []obs.Span
+	var failed int
 	for _, sp := range b.Spans {
-		switch sp.Cat {
-		case obs.CatIter:
+		switch {
+		case sp.Cat == obs.CatIter:
 			iters[sp.Iter] = sp.ID
-		case obs.CatStage:
+		case sp.Cat == obs.CatStage && sp.Iter == 2:
+			failed++
+		case sp.Cat == obs.CatStage:
 			stages = append(stages, sp)
 		}
 	}
@@ -252,26 +275,34 @@ func TestLoopTracerSpans(t *testing.T) {
 	if names["a"] != 2 || names[PhaseBarrier] != 2 {
 		t.Errorf("stage span names %v, want a=2 %s=2", names, PhaseBarrier)
 	}
+	if failed != 1 {
+		t.Errorf("failing iteration emitted %d stage spans, want 1 (the failed stage's own)", failed)
+	}
 }
 
 // TestLoopIterationZeroCostWhenUntraced pins the telemetry-off bargain: with
-// every hook nil, an iteration of the loop machinery allocates nothing — the
-// nil-gates are the only cost.
+// no observer, or only the Table III accumulator every engine keeps, an
+// iteration of the loop machinery allocates nothing once the phase names
+// are known.
 func TestLoopIterationZeroCostWhenUntraced(t *testing.T) {
-	l := &Loop{
-		Stages: []Stage{
-			{Name: "a", Run: func(int) error { return nil }},
-			{Name: "b", Run: func(int) error { return nil }},
-		},
-	}
-	iter := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := l.RunIteration(iter); err != nil {
-			t.Fatal(err)
+	for _, o := range []obs.Observer{nil, obs.Fanout{obs.NewPhases()}} {
+		l := &Loop{
+			Observer: o,
+			Stages: []Stage{
+				{Name: "a", Run: func(int) error { return nil }},
+				{Name: "b", Run: func(int) error { return nil }},
+				{Run: func(int) error { return nil }},
+			},
 		}
-		iter++
-	})
-	if allocs != 0 {
-		t.Fatalf("untraced RunIteration allocates %.1f allocs/op, want 0", allocs)
+		iter := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := l.RunIteration(iter); err != nil {
+				t.Fatal(err)
+			}
+			iter++
+		})
+		if allocs != 0 {
+			t.Fatalf("RunIteration with observer %T allocates %.1f allocs/op, want 0", o, allocs)
+		}
 	}
 }

@@ -5,25 +5,8 @@ import (
 	"time"
 )
 
-// Recorder receives the engine's per-stage timings as they happen. The
-// engine loop carries a nil Recorder by default — telemetry off costs one
-// nil-check per stage. Implementations must be safe for concurrent use: the
-// pipelined φ stage reports load/compute sub-stages from two goroutines.
-type Recorder interface {
-	// StageDone reports one timed interval of a named stage within iteration
-	// iter. A stage may report several intervals per iteration (the chunked
-	// φ pipeline does); they accumulate.
-	StageDone(iter int, stage string, d time.Duration)
-	// IterDone marks the end of iteration iter; accumulated stage durations
-	// are flushed as one event.
-	IterDone(iter int)
-	// EvalDone reports a perplexity evaluation after iteration iter
-	// (1-based, matching the engines' PerpPoint.Iter).
-	EvalDone(iter int, perplexity float64)
-}
-
-// RunRecorder is the standard Recorder: it accumulates stage durations per
-// iteration, folds them with the registry's per-iteration counter deltas
+// RunRecorder is the live-telemetry Observer: it accumulates stage durations
+// per iteration, folds them with the registry's per-iteration counter deltas
 // into one "iter" event on the sink, feeds per-stage latency histograms,
 // and maintains the run.* gauges the live monitor serves.
 //
@@ -41,7 +24,8 @@ type RunRecorder struct {
 	// minibatch draw overlaps iteration t's compute, so durations must be
 	// keyed by the iteration they belong to, not by arrival order.
 	stages map[int]map[string]time.Duration
-	last   map[string]int64 // counter values at the previous IterDone
+	last   map[string]int64      // counter values at the previous IterDone
+	hists  map[string]*Histogram // stage.<name> handles, resolved once per name
 }
 
 // NewRunRecorder creates a recorder for one rank. The clock for ElapsedMS
@@ -53,6 +37,7 @@ func NewRunRecorder(sink *Sink, rank int, reg *Registry) *RunRecorder {
 		reg:    reg,
 		start:  time.Now(),
 		stages: map[int]map[string]time.Duration{},
+		hists:  map[string]*Histogram{},
 	}
 }
 
@@ -72,8 +57,13 @@ func (r *RunRecorder) RunStart(ranks, iterations int) {
 	r.emit(&Event{Type: EventRunStart, Rank: r.rank, Ranks: ranks, Iterations: iterations})
 }
 
-// StageDone implements Recorder.
+// StageDone implements Observer. Barrier wait and reports made outside an
+// iteration have no place in the per-iteration Table III breakdown and are
+// skipped.
 func (r *RunRecorder) StageDone(iter int, stage string, d time.Duration) {
+	if iter == NoIter || stage == PhaseBarrier {
+		return
+	}
 	r.mu.Lock()
 	m := r.stages[iter]
 	if m == nil {
@@ -81,9 +71,16 @@ func (r *RunRecorder) StageDone(iter int, stage string, d time.Duration) {
 		r.stages[iter] = m
 	}
 	m[stage] += d
-	r.mu.Unlock()
+	var h *Histogram
 	if r.reg != nil {
-		r.reg.Histogram("stage." + stage).Observe(d)
+		if h = r.hists[stage]; h == nil {
+			h = r.reg.Histogram("stage." + stage)
+			r.hists[stage] = h
+		}
+	}
+	r.mu.Unlock()
+	if h != nil {
+		h.Observe(d)
 	}
 }
 
@@ -99,7 +96,7 @@ func (r *RunRecorder) counterDelta() map[string]int64 {
 	return delta
 }
 
-// IterDone implements Recorder: it flushes the accumulated stage durations
+// IterDone implements Observer: it flushes the accumulated stage durations
 // (and, with a registry attached, the iteration's counter deltas) as one
 // iter event and refreshes the monitor gauges.
 func (r *RunRecorder) IterDone(iter int) {
@@ -145,7 +142,9 @@ func (r *RunRecorder) IterDone(iter int) {
 	r.emit(e)
 }
 
-// EvalDone implements Recorder.
+func (*RunRecorder) StageBegin(int, string) {}
+
+// EvalDone implements Observer.
 func (r *RunRecorder) EvalDone(iter int, perplexity float64) {
 	r.mu.Lock()
 	elapsed := time.Since(r.start)
@@ -200,6 +199,3 @@ func (r *RunRecorder) RunEnd(iterations int) {
 	}
 	r.emit(e)
 }
-
-// interface conformance
-var _ Recorder = (*RunRecorder)(nil)

@@ -95,6 +95,50 @@ func TestRunRecorderNilSinkAndRegistry(t *testing.T) {
 	rec2.RunEnd(1)
 }
 
+// TestRunRecorderSkipsBarrierAndNoIter: barrier wait and reports made outside
+// an iteration stay out of the iter events and the stage histograms.
+func TestRunRecorderSkipsBarrierAndNoIter(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewSink(&buf)
+	reg := NewRegistry()
+	rec := NewRunRecorder(sink, 0, reg)
+	rec.StageBegin(0, "update_phi")
+	rec.StageDone(0, "update_phi", time.Millisecond)
+	rec.StageDone(0, PhaseBarrier, time.Millisecond)
+	rec.IterDone(0)
+	rec.StageDone(NoIter, "perplexity", time.Millisecond)
+	rec.IterDone(1)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || len(events[0].StagesMS) != 1 || events[1].StagesMS != nil {
+		t.Fatalf("iter events %+v, want only iter 0's update_phi", events)
+	}
+	for _, name := range []string{"stage." + PhaseBarrier, "stage.perplexity"} {
+		if _, ok := reg.Snapshot().Histograms[name]; ok {
+			t.Errorf("%s histogram created", name)
+		}
+	}
+}
+
+// TestRunRecorderStageDoneAllocFree pins the per-stage telemetry cost: once
+// a stage's histogram handle is resolved, StageDone allocates nothing (it is
+// called for every stage and every φ chunk).
+func TestRunRecorderStageDoneAllocFree(t *testing.T) {
+	rec := NewRunRecorder(nil, 0, NewRegistry())
+	rec.StageDone(0, "update_phi.compute", time.Millisecond)
+	allocs := testing.AllocsPerRun(100, func() {
+		rec.StageDone(0, "update_phi.compute", time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("StageDone allocates %.1f allocs/op after warm-up, want 0", allocs)
+	}
+}
+
 func TestMonitorServesRegistry(t *testing.T) {
 	mon := NewMonitor("127.0.0.1:0")
 	addr, err := mon.Start()

@@ -8,14 +8,14 @@ import (
 	"time"
 )
 
-// Span tracing: the causal-timeline layer of the telemetry stack. Where the
-// Recorder aggregates (per-stage totals, counter deltas), the Tracer records
-// individual intervals — every engine stage, every collective, every DKV
-// round trip — with parent ids so the timeline nests, and with the peer rank
-// on anything that crossed the wire so waits are attributable. Spans are
-// buffered per rank with a hard bound (tracing must never grow without
-// limit), gathered at run end over the ordinary collectives, and exported as
-// Chrome trace-event JSON for Perfetto / chrome://tracing.
+// Span tracing: the causal-timeline layer of the telemetry stack. Where
+// Phases and RunRecorder aggregate (per-stage totals, counter deltas), the
+// Tracer records individual intervals — every engine stage, every collective,
+// every DKV round trip — with parent ids so the timeline nests, and with the
+// peer rank on anything that crossed the wire so waits are attributable.
+// Spans are buffered per rank with a hard bound (tracing must never grow
+// without limit), gathered at run end over the ordinary collectives, and
+// exported as Chrome trace-event JSON for Perfetto / chrome://tracing.
 //
 // The clock is a process-wide monotonic epoch: every rank of a run lives in
 // this process (the in-proc fabric and the TCP loopback mesh alike), so span
@@ -24,9 +24,11 @@ import (
 // offsets at connect time; the bundle format already carries the rank, so
 // only the clock needs revisiting.
 //
-// Like the Recorder, the Tracer is nil-gated: every hook site pays one
-// nil-check when tracing is off, and the trained trajectory is bit-identical
-// with tracing on or off (spans only observe, never synchronize).
+// The engine loop reaches the Tracer through StageSpans, one member of its
+// Observer fan-out; the cluster and DKV layers hold the Tracer directly. All
+// are nil-gated: every hook site pays one nil-check when tracing is off, and
+// the trained trajectory is bit-identical with tracing on or off (spans only
+// observe, never synchronize).
 
 // Span categories. The critical-path analyzer keys off these.
 const (
@@ -199,6 +201,81 @@ func (t *Tracer) Bundle() TraceBundle {
 	t.mu.Unlock()
 	return TraceBundle{Rank: t.rank, Dropped: t.Dropped(), Spans: spans}
 }
+
+// StageSpans is the Observer that draws the engine loop on a Tracer's
+// timeline: an iter span per iteration (opened by its first StageBegin,
+// closed by IterDone) parenting one stage span per stage, which is the
+// tracer's scope while the stage runs so collectives and DKV waits nest
+// under it. A failing stage still closes its own span. NoIter and
+// duration-only reports draw nothing.
+type StageSpans struct {
+	tr *Tracer
+
+	// mu guards the open-span registers: helper goroutines' duration-only
+	// StageDone reports read them while the loop goroutine writes them.
+	mu                    sync.Mutex
+	iter                  int
+	iterID, prevScope     SpanID // iterID is 0 between iterations
+	stage                 string // "" when no stage span is open
+	stageID               SpanID
+	iterStart, stageStart int64
+}
+
+// NewStageSpans returns the span-drawing Observer for tr.
+func NewStageSpans(tr *Tracer) *StageSpans { return &StageSpans{tr: tr} }
+
+// StageBegin implements Observer.
+func (s *StageSpans) StageBegin(iter int, stage string) {
+	if iter == NoIter {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.iterID == 0 || s.iter != iter {
+		s.tr.SetIter(iter)
+		s.iter, s.iterID = iter, s.tr.NewID()
+		s.prevScope = s.tr.SetScope(s.iterID)
+		s.iterStart = s.tr.Now()
+	}
+	s.stage, s.stageID = stage, s.tr.NewID()
+	s.tr.SetScope(s.stageID)
+	s.stageStart = s.tr.Now()
+}
+
+// StageDone implements Observer: only the open stage's own report closes it.
+func (s *StageSpans) StageDone(iter int, stage string, _ time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stage == "" || stage != s.stage || iter != s.iter {
+		return
+	}
+	s.tr.Emit(Span{
+		ID: s.stageID, Parent: s.iterID, Name: stage, Cat: CatStage,
+		Track: TrackEngine, Peer: NoPeer, Iter: iter,
+		StartNS: s.stageStart, DurNS: s.tr.Now() - s.stageStart,
+	})
+	s.tr.SetScope(s.iterID)
+	s.stage = ""
+}
+
+// IterDone implements Observer: it closes the iteration span and restores
+// the scope that was current when the iteration opened.
+func (s *StageSpans) IterDone(iter int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.iterID == 0 || iter != s.iter {
+		return
+	}
+	s.tr.Emit(Span{
+		ID: s.iterID, Name: "iter", Cat: CatIter,
+		Track: TrackEngine, Peer: NoPeer, Iter: iter,
+		StartNS: s.iterStart, DurNS: s.tr.Now() - s.iterStart,
+	})
+	s.tr.SetScope(s.prevScope)
+	s.iterID = 0
+}
+
+func (*StageSpans) EvalDone(int, float64) {}
 
 // TraceBundle is one rank's complete span buffer plus its drop count — the
 // unit gathered across ranks at run end (Comm.AllGather of the encoded form)

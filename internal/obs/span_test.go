@@ -3,6 +3,7 @@ package obs
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestTracerScopeNesting drives the tracer the way engine.Loop does — iter
@@ -157,5 +158,52 @@ func TestTraceNowMonotone(t *testing.T) {
 	b := TraceNow()
 	if a < 0 || b < a {
 		t.Fatalf("TraceNow not monotone: %d then %d", a, b)
+	}
+}
+
+// TestStageSpansIgnoreSideReports: duration-only reports — from helper
+// goroutines, for the next iteration, or outside any iteration — neither
+// close the open stage span nor draw spans of their own. Run under -race:
+// the helpers report while the loop goroutine opens and closes spans.
+func TestStageSpansIgnoreSideReports(t *testing.T) {
+	tr := NewTracer(0, 0)
+	var o Observer = Fanout{NewPhases(), NewStageSpans(tr)}
+	const iters = 50
+	var wg sync.WaitGroup
+	for i := 0; i < iters; i++ {
+		o.StageBegin(i, "update_phi")
+		wg.Add(2)
+		go func(i int) { // the pipelined φ loader
+			defer wg.Done()
+			o.StageDone(i, "update_phi.load_pi", time.Microsecond)
+		}(i)
+		go func(i int) { // the prefetched draw for the next iteration
+			defer wg.Done()
+			o.StageDone(i+1, "draw_minibatch", time.Microsecond)
+		}(i)
+		wg.Wait()
+		o.StageDone(i, "update_phi", time.Millisecond)
+		o.StageBegin(i, PhaseBarrier)
+		o.StageDone(i, PhaseBarrier, time.Millisecond)
+		o.IterDone(i)
+		o.StageBegin(NoIter, "perplexity")
+		o.StageDone(NoIter, "perplexity", time.Millisecond)
+		o.EvalDone(i+1, 10)
+	}
+	counts := map[string]int{}
+	for _, sp := range tr.Bundle().Spans {
+		counts[sp.Name]++
+	}
+	want := map[string]int{"iter": iters, "update_phi": iters, PhaseBarrier: iters}
+	if len(counts) != len(want) {
+		t.Fatalf("span names %v, want %v", counts, want)
+	}
+	for name, n := range want {
+		if counts[name] != n {
+			t.Fatalf("span names %v, want %v", counts, want)
+		}
+	}
+	if tr.Scope() != 0 {
+		t.Fatalf("scope %d left open after the last iteration", tr.Scope())
 	}
 }

@@ -66,20 +66,16 @@ func (s *LocalStore) Snapshot(version int, beta []float64) (*Snapshot, error) {
 	return snap, nil
 }
 
-// snapshotGatherKeys bounds one gather batch; matches the DKV read batching
-// the training path uses.
-const snapshotGatherKeys = 4096
+// gatherKeys bounds one gather batch; matches the DKV read batching the
+// training path uses.
+const gatherKeys = 4096
 
 // Snapshot implements Snapshotter for the distributed backend: the gatherer.
-// The serving rank reads every key in owner-grouped batches — each peer
-// streams exactly its shard — and assembles the full row-major slab. The
-// gather deliberately goes through the raw DKV layer rather than ReadRows:
-// a full-table sweep through the hot-row cache would evict every genuinely
-// hot row and distort the hit-rate counters, and the training path's cache
-// is bit-transparent anyway. The phase discipline makes the gather
-// consistent: at a barrier no rank has writes in flight, and the master's
-// next scatter cannot start until the serving rank (the master) finishes
-// sealing, so no row can change mid-gather.
+// The serving rank assembles the full row-major slab through Gather. The
+// phase discipline makes the gather consistent: at a barrier no rank has
+// writes in flight, and the master's next scatter cannot start until the
+// serving rank (the master) finishes sealing, so no row can change
+// mid-gather.
 func (s *DKVStore) Snapshot(version int, beta []float64) (*Snapshot, error) {
 	snap := &Snapshot{
 		Version: version,
@@ -88,11 +84,26 @@ func (s *DKVStore) Snapshot(version int, beta []float64) (*Snapshot, error) {
 		Pi:      make([]float32, s.n*s.k),
 		Beta:    append([]float64(nil), beta...),
 	}
+	if err := s.Gather(snap.Pi, nil); err != nil {
+		return nil, err
+	}
+	snap.SealedAt = time.Now()
+	return snap, nil
+}
+
+// Gather copies every row into pi (row-major, N×K) and, when phiSum is
+// non-nil, every Σφ into phiSum: the full-table sweep behind snapshots and
+// checkpoints, read in owner-grouped batches so each peer streams exactly
+// its shard. It goes through the raw DKV layer rather than ReadRows: a
+// full-table sweep through the hot-row cache would evict every genuinely hot
+// row and distort the hit-rate counters, and the training path's cache is
+// bit-transparent anyway. Call it only at a phase barrier.
+func (s *DKVStore) Gather(pi []float32, phiSum []float64) error {
 	rb := RowBytes(s.k)
-	keys := make([]int32, 0, snapshotGatherKeys)
-	raw := make([]byte, snapshotGatherKeys*rb)
-	for base := 0; base < s.n; base += snapshotGatherKeys {
-		hi := min(base+snapshotGatherKeys, s.n)
+	keys := make([]int32, 0, gatherKeys)
+	raw := make([]byte, gatherKeys*rb)
+	for base := 0; base < s.n; base += gatherKeys {
+		hi := min(base+gatherKeys, s.n)
 		keys = keys[:0]
 		for a := base; a < hi; a++ {
 			keys = append(keys, int32(a))
@@ -102,16 +113,19 @@ func (s *DKVStore) Snapshot(version int, beta []float64) (*Snapshot, error) {
 			err = fut.Wait()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("store: snapshot gather at key %d: %w", base, err)
+			return fmt.Errorf("store: gather at key %d: %w", base, err)
 		}
 		for i, a := range keys {
-			if _, err := DecodeRow(raw[i*rb:(i+1)*rb], snap.Pi[int(a)*s.k:(int(a)+1)*s.k]); err != nil {
-				return nil, fmt.Errorf("store: snapshot gather key %d: %w", a, err)
+			sum, err := DecodeRow(raw[i*rb:(i+1)*rb], pi[int(a)*s.k:(int(a)+1)*s.k])
+			if err != nil {
+				return fmt.Errorf("store: gather key %d: %w", a, err)
+			}
+			if phiSum != nil {
+				phiSum[a] = sum
 			}
 		}
 	}
-	snap.SealedAt = time.Now()
-	return snap, nil
+	return nil
 }
 
 // Publisher is the RCU write side of snapshot publication: Publish installs
