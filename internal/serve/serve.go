@@ -4,19 +4,28 @@
 //
 // The data plane is RCU all the way down. The training engine seals a
 // snapshot at a phase barrier and hands it to a store.Publisher; the
-// publisher runs this package's subscriber — which builds the per-snapshot
-// inverted index, off the read path — and then flips one atomic pointer.
-// Every query loads that pointer exactly once, so each response is
-// internally consistent with exactly one snapshot version even while the
-// next iteration is being trained and published underneath it. Readers
-// never take a lock; publishers never wait for readers.
+// publisher runs this package's subscriber — which patches the previous
+// version's inverted index into the new one, off the read path — and then
+// flips one atomic pointer. Every query loads that pointer exactly once, so
+// each response is internally consistent with exactly one snapshot version
+// even while the next iteration is being trained and published underneath
+// it. Readers never take a lock; publishers never wait for readers.
+//
+// Member lists that no changed row touches are shared between consecutive
+// versions (same backing array), so every list this package returns is
+// read-only: callers must not modify it.
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/store"
 )
@@ -35,8 +44,10 @@ type Member struct {
 
 // Index is the per-snapshot inverted view: for each community, the member
 // vertices whose membership weight clears the threshold, sorted by weight
-// descending (ties by vertex id for determinism). It is built once at
-// publish time and never mutated, so reads need no synchronisation.
+// descending (ties by vertex id for determinism). It is built at publish
+// time and never mutated, so reads need no synchronisation. Lists a publish
+// does not touch are shared with the previous version's Index, so they must
+// never be modified.
 type Index struct {
 	// Threshold is the membership cut-off used to build the lists.
 	Threshold float32
@@ -44,7 +55,7 @@ type Index struct {
 }
 
 // Members returns community c's list (strongest first); nil when c is out
-// of range.
+// of range. The list is shared across versions and must not be modified.
 func (ix *Index) Members(c int) []Member {
 	if c < 0 || c >= len(ix.members) {
 		return nil
@@ -57,32 +68,128 @@ func (ix *Index) Members(c int) []Member {
 // same default internal/metrics uses for covers).
 func DefaultThreshold(k int) float32 { return 1.5 / float32(k) }
 
-// BuildIndex scans the snapshot once and assembles the inverted index.
-// O(N·K) plus the sort of each member list; runs inside Publish, never on
-// the query path.
+// BuildIndex assembles the inverted index of s from scratch: the
+// nothing-to-patch case of the builder Engine.Install uses. The returned
+// lists must not be modified.
 func BuildIndex(s *store.Snapshot, threshold float32) *Index {
+	return buildIndex(nil, s, threshold)
+}
+
+// buildIndex returns the inverted index of s, patched from prev — the view s
+// replaces — when prev has the same N, K and threshold; otherwise (or when
+// prev is nil) every row counts as changed. A row is changed when its bits
+// differ from prev's row. That is exact: a row's index entries are a
+// function of its bits, and a NaN, which never clears the threshold, is
+// re-evaluated whenever its bits move. A community is dirty when a changed
+// row clears the threshold there in prev (it is on prev's list) or in s; a
+// clean community shares prev's list, a dirty one merges prev's list minus
+// the changed rows with the changed rows' new entries. Cost: O(N·K) row
+// compare plus O(changed·K + dirty members), and a sort of the changed
+// entries only. The result is a pure function of (prev, s), so concurrent
+// calls need no lock.
+func buildIndex(prev *view, s *store.Snapshot, threshold float32) *Index {
 	if threshold <= 0 {
 		threshold = DefaultThreshold(s.K)
 	}
-	ix := &Index{Threshold: threshold, members: make([][]Member, s.K)}
-	for a := 0; a < s.N; a++ {
+	n, k := s.N, s.K
+	patch := prev != nil && prev.snap.N == n && prev.snap.K == k && prev.idx.Threshold == threshold
+	members := make([][]Member, k)
+	if patch {
+		copy(members, prev.idx.members)
+	}
+	// changed marks the rows to re-evaluate; fresh[c] collects their entries
+	// in community c as member keys, in buffers reused across builds.
+	changed := make([]bool, n)
+	bufs := keyBufs.Get().(*[][]uint64)
+	defer keyBufs.Put(bufs)
+	if len(*bufs) < k {
+		*bufs = append(*bufs, make([][]uint64, k-len(*bufs))...)
+	}
+	fresh := (*bufs)[:k]
+	for c := range fresh {
+		fresh[c] = fresh[c][:0]
+	}
+	for a := 0; a < n; a++ {
 		row := s.PiRow(a)
+		if patch && bytes.Equal(rowBits(row), rowBits(prev.snap.PiRow(a))) {
+			continue
+		}
+		changed[a] = true
 		for c, w := range row {
 			if w >= threshold {
-				ix.members[c] = append(ix.members[c], Member{Vertex: a, Weight: w})
+				fresh[c] = append(fresh[c], memberKey(w, a))
 			}
 		}
 	}
-	for c := range ix.members {
-		m := ix.members[c]
-		sort.Slice(m, func(i, j int) bool {
-			if m[i].Weight != m[j].Weight {
-				return m[i].Weight > m[j].Weight
+	for c, old := range members {
+		drop := 0
+		for _, m := range old {
+			if changed[m.Vertex] {
+				drop++
 			}
-			return m[i].Vertex < m[j].Vertex
-		})
+		}
+		if drop == 0 && len(fresh[c]) == 0 {
+			continue
+		}
+		size := len(old) - drop + len(fresh[c])
+		if drop == len(old) { // nothing of old survives: skip its merge scan
+			old = nil
+		}
+		slices.Sort(fresh[c])
+		members[c] = mergeMembers(old, changed, fresh[c], size)
 	}
-	return ix
+	return &Index{Threshold: threshold, members: members}
+}
+
+// keyBufs recycles buildIndex's per-community key buffers, so a publish
+// neither allocates nor regrows them once they have reached working size.
+var keyBufs = sync.Pool{New: func() any { return new([][]uint64) }}
+
+// rowBits views a row's float32 bits as bytes, so two rows compare bit for
+// bit in one vectorised bytes.Equal.
+func rowBits(row []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(row))), 4*len(row))
+}
+
+// memberKey packs a member into a key whose ascending order is the index
+// order: weight descending, then vertex ascending. Only weights at or above
+// a positive threshold are keyed, and the bits of positive floats order like
+// their values, so inverting them reverses the weight order. Vertex ids take
+// the low 32 bits.
+func memberKey(w float32, vertex int) uint64 {
+	return uint64(^math.Float32bits(w))<<32 | uint64(uint32(vertex))
+}
+
+func keyMember(key uint64) Member {
+	return Member{Vertex: int(uint32(key)), Weight: math.Float32frombits(^uint32(key >> 32))}
+}
+
+// mergeMembers returns old without the changed vertices, merged with the
+// sorted keys fresh into one list of exactly size members in index order
+// (nil when empty), so the list holds no spare backing memory.
+func mergeMembers(old []Member, changed []bool, fresh []uint64, size int) []Member {
+	if size == 0 {
+		return nil
+	}
+	out := make([]Member, size)
+	i, j := 0, 0
+	for _, m := range old {
+		if changed[m.Vertex] {
+			continue
+		}
+		mk := memberKey(m.Weight, m.Vertex)
+		for ; j < len(fresh) && fresh[j] < mk; j++ {
+			out[i] = keyMember(fresh[j])
+			i++
+		}
+		out[i] = m
+		i++
+	}
+	for _, key := range fresh[j:] {
+		out[i] = keyMember(key)
+		i++
+	}
+	return out
 }
 
 // view pairs a snapshot with its index; the engine flips one pointer to
@@ -113,10 +220,11 @@ func (e *Engine) Attach(p *store.Publisher) {
 	p.Subscribe(e.Install)
 }
 
-// Install indexes snap and flips the engine's view to it.
+// Install indexes snap — patching the index of the view it replaces — and
+// flips the engine's view to it.
 func (e *Engine) Install(snap *store.Snapshot) {
-	v := &view{snap: snap, idx: BuildIndex(snap, e.threshold)}
-	e.cur.Store(v)
+	prev := e.cur.Load()
+	e.cur.Store(&view{snap: snap, idx: buildIndex(prev, snap, e.threshold)})
 }
 
 // Ready reports whether a snapshot has been installed.
@@ -195,7 +303,10 @@ func sortMemberships(m []Membership) {
 }
 
 // Members returns up to limit members of community c (strongest first) from
-// the per-snapshot inverted index; limit <= 0 returns the whole list.
+// the per-snapshot inverted index; limit <= 0 returns the whole list. The
+// list is clipped to its length, so appending to it copies rather than
+// writing into the index, but its elements are shared and must not be
+// modified.
 func (e *Engine) Members(c, limit int) ([]Member, *store.Snapshot, error) {
 	vw, err := e.load()
 	if err != nil {
@@ -209,7 +320,7 @@ func (e *Engine) Members(c, limit int) ([]Member, *store.Snapshot, error) {
 	if limit > 0 && limit < len(m) {
 		m = m[:limit]
 	}
-	return m, s, nil
+	return slices.Clip(m), s, nil
 }
 
 // SharedCommunity reports the communities vertices u and v both belong to

@@ -119,6 +119,27 @@ func TestMembersMatchesThreshold(t *testing.T) {
 	}
 }
 
+// TestMembersLimitIsClipped: a truncated member list must carry no spare
+// capacity into the shared index, so a caller's append copies instead of
+// overwriting the next member for every other reader of the version.
+func TestMembersLimitIsClipped(t *testing.T) {
+	eng := NewEngine(0)
+	eng.Install(versionSnap(1, 8, 4)) // community 1 holds all 8 vertices
+	full, _, err := eng.Members(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := full[1]
+	head, _, err := eng.Members(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(head, Member{Vertex: -1, Weight: -1})
+	if again, _, _ := eng.Members(1, 0); again[1] != second {
+		t.Fatalf("append to Members(1, 1) overwrote the index: member 1 is %+v, was %+v", again[1], second)
+	}
+}
+
 // TestSharedCommunity: shared membership is the intersection of the two
 // thresholded rows, weighted by the pairwise minimum.
 func TestSharedCommunity(t *testing.T) {

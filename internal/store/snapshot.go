@@ -135,8 +135,8 @@ func (s *DKVStore) Gather(pi []float32, phiSum []float64) error {
 // keeps a fully consistent v even while v+1 is being published.
 //
 // Subscribers (Subscribe) run synchronously inside Publish, BEFORE the
-// pointer flip — this is where the serving tier builds its per-snapshot
-// inverted index, off the read path, so by the time a version becomes
+// pointer flip — this is where the serving tier patches its inverted index
+// for the new snapshot, off the read path, so by the time a version becomes
 // Current every derived structure for it already exists.
 type Publisher struct {
 	cur atomic.Pointer[Snapshot]
@@ -159,11 +159,14 @@ func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
 
 // Subscribe registers f to run inside every subsequent Publish, before the
 // snapshot becomes Current. If a snapshot is already published, f runs on it
-// immediately, so a late subscriber never misses the current state.
+// immediately, so a late subscriber never misses the current state. The
+// catch-up call holds the publish lock, like every subscriber call, so a
+// concurrent Publish reaches f only after it and f never sees versions go
+// backwards. f must not call Subscribe or Publish.
 func (p *Publisher) Subscribe(f func(*Snapshot)) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.subs = append(p.subs, f)
-	p.mu.Unlock()
 	if s := p.cur.Load(); s != nil {
 		f(s)
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -155,6 +156,60 @@ func TestPublisherFlipAndMonotonicity(t *testing.T) {
 	p.Subscribe(func(s *Snapshot) { late = s.Version })
 	if late != 5 {
 		t.Fatalf("late subscriber saw v%d, want 5", late)
+	}
+}
+
+// TestPublisherLateSubscriberCannotRegress: a Publish that arrives while a
+// late subscriber's catch-up call is still running must reach the
+// subscriber after it, so the subscriber ends on the newest version rather
+// than having the older catch-up land on top of it.
+func TestPublisherLateSubscriberCannotRegress(t *testing.T) {
+	p := NewPublisher()
+	if err := p.Publish(&Snapshot{Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var (
+		mu    sync.Mutex
+		calls int
+		last  int
+	)
+	sub := func(s *Snapshot) {
+		mu.Lock()
+		calls++
+		first := calls == 1
+		mu.Unlock()
+		if first { // the catch-up call: stall inside it
+			close(entered)
+			<-release
+		}
+		mu.Lock()
+		last = s.Version
+		mu.Unlock()
+	}
+	subscribed := make(chan struct{})
+	go func() {
+		p.Subscribe(sub)
+		close(subscribed)
+	}()
+	<-entered
+	published := make(chan error, 1)
+	go func() { published <- p.Publish(&Snapshot{Version: 2}) }()
+	// Give the publish time to slip into the stalled catch-up's window.
+	select {
+	case err := <-published:
+		published <- err
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-subscribed
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if cur := p.Current().Version; last != cur {
+		t.Fatalf("subscriber ended on v%d while the publisher is current at v%d", last, cur)
 	}
 }
 

@@ -4,13 +4,15 @@
 # overwritten) alongside the distributed-loop records so the read tier's
 # trajectory lives in the same series.
 #
-# The record carries the three serving numbers that matter:
+# The record carries the four serving numbers that matter:
 #   - qps:   end-to-end HTTP query throughput (BenchmarkServeHTTP, concurrent
 #            clients over real TCP);
 #   - p99_us: the 99th-percentile end-to-end query latency of that run;
-#   - snapshot_flip_ns: publish-to-visible latency — per-snapshot inverted
-#     index build plus the RCU pointer flip (BenchmarkSnapshotFlip) — i.e. how
-#     long training output takes to become queryable once sealed.
+#   - snapshot_flip_ns: publish-to-visible latency — inverted index patch
+#     plus the RCU pointer flip — when every row changes between versions
+#     (BenchmarkSnapshotFlip), i.e. the worst case for the patch;
+#   - snapshot_patch_ns: the same latency when 5% of rows change per version
+#     (BenchmarkSnapshotFlipSparse), the share training actually rewrites.
 #
 # Usage: scripts/bench_serve.sh [benchtime] [fliptime]   (default 2000x / 20x)
 set -eu
@@ -22,7 +24,7 @@ http="$(go test ./internal/serve/ -run NONE -bench BenchmarkServeHTTP \
 	-benchtime "$BENCHTIME" -count 1)"
 echo "$http"
 
-flip="$(go test ./internal/serve/ -run NONE -bench BenchmarkSnapshotFlip \
+flip="$(go test ./internal/serve/ -run NONE -bench 'BenchmarkSnapshotFlip(Sparse)?$' \
 	-benchtime "$FLIPTIME" -count 1)"
 echo "$flip"
 
@@ -41,13 +43,14 @@ DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 			for (i = 2; i < NF; i++) {
 				if ($(i + 1) == "qps") qps = $i
 				if ($(i + 1) == "p99_us") p99 = $i
-				if ($(i + 1) == "ns/op" && $1 ~ /^BenchmarkSnapshotFlip/) flip_ns = $i
+				if ($(i + 1) == "ns/op" && $1 ~ /^BenchmarkSnapshotFlip(-[0-9]+)?$/) flip_ns = $i
+				if ($(i + 1) == "ns/op" && $1 ~ /^BenchmarkSnapshotFlipSparse(-[0-9]+)?$/) patch_ns = $i
 			}
 		}
 		/^cpu:/ { sub(/^cpu: /, ""); cpu = $0 }
 		END {
-			if (qps == "" || p99 == "" || flip_ns == "") {
-				print "bench_serve: FAIL: missing metric (qps=" qps " p99_us=" p99 " flip_ns=" flip_ns ")" > "/dev/stderr"
+			if (qps == "" || p99 == "" || flip_ns == "" || patch_ns == "") {
+				print "bench_serve: FAIL: missing metric (qps=" qps " p99_us=" p99 " flip_ns=" flip_ns " patch_ns=" patch_ns ")" > "/dev/stderr"
 				exit 1
 			}
 			printf "  {\n"
@@ -59,7 +62,8 @@ DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 			printf "    \"cpu\": \"%s\",\n", cpu
 			printf "    \"qps\": %s,\n", qps
 			printf "    \"p99_us\": %s,\n", p99
-			printf "    \"snapshot_flip_ns\": %s\n", flip_ns
+			printf "    \"snapshot_flip_ns\": %s,\n", flip_ns
+			printf "    \"snapshot_patch_ns\": %s\n", patch_ns
 			printf "  }\n"
 		}
 	'
