@@ -1,6 +1,6 @@
 GO ?= go
 
-DIST_PKGS = ./internal/par/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/... ./internal/obs/...
+DIST_PKGS = ./internal/par/... ./internal/core/... ./internal/sampling/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/... ./internal/obs/...
 
 .PHONY: build fmt vet test race bench-dist bench-serve bench-gate check
 

@@ -53,11 +53,13 @@ func BenchmarkUpdatePhi(b *testing.B) {
 	}
 }
 
-// BenchmarkPhiStage drives the whole update_phi stage — neighbor sampling,
-// π staging through a LocalStore, the fused kernel — over one minibatch per
-// op. With the persistent chunk buffers and per-worker scratch pool the
-// steady state performs only a constant handful of tiny allocations per
-// minibatch (closure headers), none proportional to vertices or K.
+// BenchmarkPhiStage drives the whole update_phi stage — parallel neighbor
+// sampling, the π read through a LocalStore (an index view, no copy), the
+// fused kernel — over one minibatch per op. With the persistent chunk
+// buffers and per-worker scratch pool the steady state performs only a
+// constant handful of tiny allocations per minibatch (goroutine and closure
+// headers), none proportional to vertices or K. threads=2 is the fit-local
+// benchmark's setting.
 func BenchmarkPhiStage(b *testing.B) {
 	g, _, err := gen.Planted(gen.DefaultPlanted(2000, 16, 20000, 3))
 	if err != nil {
@@ -77,7 +79,7 @@ func BenchmarkPhiStage(b *testing.B) {
 	for i := range nodes {
 		nodes[i] = int32(i * 7 % g.NumVertices())
 	}
-	for _, threads := range []int{1, 4} {
+	for _, threads := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			stage := &PhiStage{
 				Cfg:     &cfg,

@@ -41,8 +41,14 @@ func DrawMinibatch(cfg *Config, edges sampling.EdgeStrategy, t int, dst *samplin
 // computes are reported to Observer under the update_phi.load_pi /
 // update_phi.compute sub-phases.
 //
+// On both schedules the neighbor sampling of a chunk's load and the φ
+// arithmetic of its compute are split across Threads workers. Every
+// vertex's RNG stream is keyed by (t, vertex), so the sampled neighbor sets,
+// the rows read and the φ computed are bit-identical for any Threads.
+//
 // A PhiStage owns persistent staging buffers and per-worker scratch, so the
-// steady-state iteration allocates nothing; construct one per engine and
+// steady-state iteration allocates only a constant handful of goroutine and
+// closure headers, none per vertex or row; construct one per engine and
 // reuse it across iterations (reassigning Store per call is fine).
 type PhiStage struct {
 	Cfg     *Config
@@ -176,13 +182,19 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 			b.samples = make([]sampling.NeighborSample, cnt)
 		}
 		b.samples = b.samples[:cnt]
-		for i := 0; i < cnt; i++ {
-			a := nodes[b.lo+i]
-			rng := &b.rngs[i]
-			rng.SeedStream(p.Cfg.Seed, StreamVertex(t, int(a)))
-			p.Neigh.Sample(a, rng, &b.samples[i])
+		// Each worker seeds and samples only its own vertices; the streams
+		// are keyed by (t, vertex), so the draws are thread-count free.
+		par.For(cnt, p.Threads, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				a := nodes[b.lo+i]
+				rng := &b.rngs[i]
+				rng.SeedStream(p.Cfg.Seed, StreamVertex(t, int(a)))
+				p.Neigh.Sample(a, rng, &b.samples[i])
+			}
+		})
+		for i := range b.samples {
 			b.nodeOff = append(b.nodeOff, len(b.keys))
-			b.keys = append(b.keys, a)
+			b.keys = append(b.keys, nodes[b.lo+i])
 			b.keys = append(b.keys, b.samples[i].Nodes...)
 		}
 		pend, err := p.Store.ReadRowsAsync(b.keys, &b.rows)

@@ -52,9 +52,10 @@ type NeighborStrategy interface {
 }
 
 // UniformNeighbors draws count distinct vertices uniformly from V \ {a},
-// skipping held-out pairs, each weighted (candidates)/count. This is the
-// strategy written in the paper's Eqn (5) (which states the asymptotically
-// equal weight N/|V_n|).
+// skipping held-out pairs, each weighted (candidates)/count; a vertex with
+// fewer candidates than count takes all of them. This is the strategy
+// written in the paper's Eqn (5) (which states the asymptotically equal
+// weight N/|V_n|).
 type UniformNeighbors struct {
 	view  View
 	count int
@@ -78,13 +79,16 @@ func (s *UniformNeighbors) Name() string { return "uniform" }
 func (s *UniformNeighbors) Sample(a int32, rng *mathx.RNG, out *NeighborSample) {
 	out.Reset()
 	n := s.view.NumVertices()
-	// Population size excludes a itself and a's held-out pairs.
-	pop := n - 1 - s.view.ExcludedCount(a)
-	if pop < s.count {
-		pop = s.count // degenerate tiny graph; weights stay finite
+	// The eligible population excludes a itself and a's held-out pairs. A
+	// vertex with fewer eligible candidates than count takes them all, so
+	// the rejection loop below always terminates.
+	eligible := n - 1 - s.view.ExcludedCount(a)
+	if eligible <= 0 {
+		return
 	}
-	w := float64(pop) / float64(s.count)
-	for len(out.Nodes) < s.count {
+	take := min(s.count, eligible)
+	w := float64(eligible) / float64(take)
+	for len(out.Nodes) < take {
 		b := int32(rng.Intn(n))
 		if b == a {
 			continue

@@ -2,7 +2,9 @@ package sampling
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -500,5 +502,61 @@ func TestNeighborSampleMatchesMapReference(t *testing.T) {
 		if !sameSample(&got, &want) {
 			t.Fatalf("link-plus-uniform: vertex %d diverged from map-based reference", a)
 		}
+	}
+}
+
+// TestUniformNeighborsFewCandidates pins the degenerate case where a vertex
+// has fewer eligible candidates than count: the strategy must take all of
+// them (weight 1) instead of rejecting forever. Vertex 0 of N=6 with
+// held-out pairs (0,4) and (0,5) has only {1, 2, 3} left for count 4, and
+// vertex 0 of N=3 with both pairs held out has none.
+func TestUniformNeighborsFewCandidates(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		edge []graph.Edge
+		held []graph.Edge
+		want []int32
+	}{
+		{"three of four", 6, []graph.Edge{{A: 0, B: 1}, {A: 2, B: 3}},
+			[]graph.Edge{{A: 0, B: 4}, {A: 0, B: 5}}, []int32{1, 2, 3}},
+		{"none", 3, nil, []graph.Edge{{A: 0, B: 1}, {A: 0, B: 2}}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.FromEdges(tc.n, tc.edge)
+			held := graph.NewEdgeSet(len(tc.held))
+			for _, e := range tc.held {
+				held.Add(e)
+			}
+			s, err := NewUniformNeighbors(NewGraphView(g, &held), tc.n-2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ns NeighborSample
+			done := make(chan struct{})
+			go func() {
+				s.Sample(0, mathx.NewRNG(1), &ns)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Sample did not return: the rejection loop wants more candidates than exist")
+			}
+			got := slices.Clone(ns.Nodes)
+			slices.Sort(got)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("nodes = %v, want %v", got, tc.want)
+			}
+			for i, w := range ns.Scale {
+				if w != 1 {
+					t.Fatalf("scale[%d] = %v, want 1 (every candidate taken)", i, w)
+				}
+				if ns.Linked[i] != g.HasEdge(0, int(ns.Nodes[i])) {
+					t.Fatalf("linked[%d] wrong for node %d", i, ns.Nodes[i])
+				}
+			}
+		})
 	}
 }

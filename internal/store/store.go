@@ -6,10 +6,11 @@
 //
 // Two backends implement the contract:
 //
-//   - LocalStore views a single-node core.State's backing slices. Reads and
-//     writes are plain memory copies; Flush is a no-op. It makes the
-//     single-process sampler the Ranks=1 degenerate case of the distributed
-//     one.
+//   - LocalStore views a single-node core.State's backing slices. A read
+//     copies no π: it leaves an index view of the state's π in Rows, valid
+//     until the next write to those rows. Writes normalise in place; Flush
+//     is a no-op. It makes the single-process sampler the Ranks=1
+//     degenerate case of the distributed one.
 //   - DKVStore (dkv.go) wraps internal/dkv: batched reads grouped by owning
 //     rank, asynchronous futures for the double-buffered π pipeline of
 //     Section III-D, and an optional bounded hot-row cache that is
@@ -54,25 +55,48 @@ func checkRowSum(sum float64) error {
 	return nil
 }
 
-// Rows is the decoded destination buffer for a batched read: n π rows of K
-// float32 entries each, plus the matching Σφ sums. Buffers are reused across
-// Reset calls, which is what lets the double-buffered pipeline run without
-// per-chunk allocation.
+// Rows is the destination of a batched read: n π rows of K float32 entries
+// each, plus the matching Σφ sums. Buffers are reused across reads, which is
+// what lets the double-buffered pipeline run without per-chunk allocation.
+//
+// Copying backends (DKV, mmap, tier) decode rows into a buffer Rows owns.
+// LocalStore instead leaves an index view: PiRow(i) resolves row i through a
+// private copy of the read's ids into the store's own π, so no π byte is
+// copied. Such a view stays valid until the next write to those rows — the
+// PiStore phase discipline (no phase writes rows it is reading) is what
+// makes that safe. Callers must not write into a returned row.
 type Rows struct {
 	K      int
-	Pi     []float32 // row-major, Len()×K
-	PhiSum []float64 // one Σφ per row
+	PhiSum []float64 // one Σφ per row, always owned by Rows
 
-	raw []byte // backend scratch (wire bytes), reused between reads
+	raw  []byte    // backend scratch (wire bytes), reused between reads
+	pi   []float32 // owned row-major Len()×K π, the destination of copying reads
+	view []float32 // non-nil under a view: the store's π, row i at ids[i]
+	ids  []int32
 }
 
-// Reset sizes the buffer for n rows of width k, reusing capacity.
+// Reset sizes the owned buffer for n rows of width k, reusing capacity. It
+// drops any view, so a copying read never writes into a store's π.
 func (r *Rows) Reset(n, k int) {
 	r.K = k
-	if cap(r.Pi) < n*k {
-		r.Pi = make([]float32, n*k)
+	r.view = nil
+	if cap(r.pi) < n*k {
+		r.pi = make([]float32, n*k)
 	}
-	r.Pi = r.Pi[:n*k]
+	r.pi = r.pi[:n*k]
+	r.sizePhiSum(n)
+}
+
+// setView points r at pi (row-major, width k) through a copy of ids, so a
+// caller that later reuses its ids slice cannot change the rows.
+func (r *Rows) setView(ids []int32, pi []float32, k int) {
+	r.K = k
+	r.view = pi
+	r.ids = append(r.ids[:0], ids...)
+	r.sizePhiSum(len(ids))
+}
+
+func (r *Rows) sizePhiSum(n int) {
 	if cap(r.PhiSum) < n {
 		r.PhiSum = make([]float64, n)
 	}
@@ -82,8 +106,15 @@ func (r *Rows) Reset(n, k int) {
 // Len returns the number of rows currently held.
 func (r *Rows) Len() int { return len(r.PhiSum) }
 
-// PiRow returns row i as a slice into the buffer.
-func (r *Rows) PiRow(i int) []float32 { return r.Pi[i*r.K : (i+1)*r.K] }
+// PiRow returns row i: a slice into the owned buffer, or into the store's π
+// under a view.
+func (r *Rows) PiRow(i int) []float32 {
+	if r.view != nil {
+		a := int(r.ids[i])
+		return r.view[a*r.K : (a+1)*r.K]
+	}
+	return r.pi[i*r.K : (i+1)*r.K]
+}
 
 // Pending is an in-flight asynchronous read. Wait blocks until the
 // destination Rows buffer is fully populated; it is idempotent, and the
@@ -253,6 +284,9 @@ func getF64(b []byte) float64 {
 // LocalStore implements PiStore over the backing slices of a single-node
 // core.State. It is constructed per use (a cheap slice-header struct) so a
 // resumed sampler that swaps its State never reads through a stale view.
+// Reads alias the state's π (see ReadRows): a read stays valid until the
+// next write to those rows, which the phase discipline never overlaps with
+// the read.
 type LocalStore struct {
 	k       int
 	pi      []float32
@@ -282,20 +316,17 @@ func (s *LocalStore) checkIDs(ids []int32) error {
 	return nil
 }
 
-// ReadRows implements PiStore with plain memory copies (float32/float64
-// copies are bit-exact).
+// ReadRows implements PiStore without copying π: dst becomes an index view
+// of the store's π (see Rows), valid until the next write to those rows. Σφ
+// is copied, so dst.PhiSum is owned as on every backend.
 func (s *LocalStore) ReadRows(ids []int32, dst *Rows) error {
 	if err := s.checkIDs(ids); err != nil {
 		return err
 	}
-	dst.Reset(len(ids), s.k)
-	par.For(len(ids), s.threads, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := int(ids[i])
-			copy(dst.PiRow(i), s.pi[a*s.k:(a+1)*s.k])
-			dst.PhiSum[i] = s.phiSum[a]
-		}
-	})
+	dst.setView(ids, s.pi, s.k)
+	for i, id := range ids {
+		dst.PhiSum[i] = s.phiSum[id]
+	}
 	return nil
 }
 
@@ -370,7 +401,7 @@ func (s *LocalStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) er
 // Flush implements PiStore; in-memory writes are immediately visible.
 func (s *LocalStore) Flush() error { return nil }
 
-// ReadsAreLocal implements LocalReader: every read is a memory copy.
+// ReadsAreLocal implements LocalReader: every read is answered from memory.
 func (s *LocalStore) ReadsAreLocal() bool { return true }
 
 // interface conformance
